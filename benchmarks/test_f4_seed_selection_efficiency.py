@@ -18,6 +18,7 @@ from repro.seeds.greedy import greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
 from repro.seeds.partition import partition_greedy_select
+from tests.oracles import ScalarObjective
 
 K_PERCENTS = (2.0, 5.0, 10.0)
 
@@ -93,17 +94,13 @@ def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
     The differential guarantee for selection: the vectorized masked-dot
     gain path and the scalar dict-walk reference produce exactly the
     same seed orderings (not merely the same objective value) at every
-    budget, so flipping ``use_fidelity_kernel`` can never change which
-    roads get crowdsourced.
+    budget, so the kernel can never change which roads get crowdsourced
+    relative to the scalar oracle (``tests.oracles``).
     """
     kernel = SeedSelectionObjective(
-        beijing.graph, fidelity_service=FidelityCacheService(), use_kernel=True
+        beijing.graph, fidelity_service=FidelityCacheService()
     )
-    scalar = SeedSelectionObjective(
-        beijing.graph,
-        fidelity_service=FidelityCacheService(use_kernel=False),
-        use_kernel=False,
-    )
+    scalar = ScalarObjective(beijing.graph)
     for objective in (kernel, scalar):  # warm both caches fully
         for road in objective.road_ids:
             objective.influence_row(road)
@@ -154,6 +151,6 @@ def test_f4_kernel_vs_scalar_seed_sequences(beijing, report):
         format_table(
             ["budget", "algorithm", "kernel ms", "scalar ms", "speedup", "seeds"],
             rows,
-            title="F4b: selection with CSR kernel vs scalar reference",
+            title="F4b: selection with CSR kernel vs scalar oracle",
         ),
     )

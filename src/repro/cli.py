@@ -40,6 +40,15 @@ CITIES = {
 }
 
 
+def _add_workers(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="worker processes for partitioned selection and district "
+             "plan compiles (1 = in-process, 0 = one per CPU; results "
+             "are identical)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-traffic",
@@ -65,16 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "k-center"],
         default="lazy",
     )
-    select.add_argument(
-        "--parallel", action="store_true",
-        help="run partitioned selection across a process pool with the "
-             "CSR fidelity arrays in shared memory (implies "
-             "--method partition)",
-    )
-    select.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="partition-pool worker count (0 = one per CPU)",
-    )
+    _add_workers(select)
     select.add_argument(
         "--partitions", type=int, default=8, metavar="P",
         help="number of BFS-grown districts for partitioned selection",
@@ -95,16 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of sample roads to print")
     estimate.add_argument("--map", action="store_true", dest="show_map",
                           help="print an ASCII congestion map")
-    estimate.add_argument(
-        "--sharded-plan", action="store_true",
-        help="compile the Step-2 interval plan per district "
-             "(bitwise identical to the monolithic plan)")
-    estimate.add_argument(
-        "--plan-shards", type=int, default=0, metavar="D",
-        help="district count for --sharded-plan (0 = num_partitions)")
-    estimate.add_argument(
-        "--plan-workers", type=int, default=0, metavar="N",
-        help="plan-compile pool workers (0 = one per CPU, 1 = in-process)")
+    _add_workers(estimate)
 
     route = commands.add_parser(
         "route", help="plan a route on estimated speeds"
@@ -154,16 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--metrics-out", default=None,
                        help="dump the final metrics registry "
                        "(.prom -> Prometheus text, otherwise JSON)")
-    serve.add_argument(
-        "--sharded-plan", action="store_true",
-        help="serve Step-2 through district-sharded interval plans "
-             "(bitwise identical; graph deltas recompile per district)")
-    serve.add_argument(
-        "--plan-shards", type=int, default=0, metavar="D",
-        help="district count for --sharded-plan (0 = num_partitions)")
-    serve.add_argument(
-        "--plan-workers", type=int, default=0, metavar="N",
-        help="plan-compile pool workers (0 = one per CPU, 1 = in-process)")
+    _add_workers(serve)
 
     stream = commands.add_parser(
         "stream",
@@ -245,21 +227,11 @@ def _fitted_system(
     )
 
 
-def _plan_config(
-    sharded_plan: bool, plan_shards: int, plan_workers: int = 0
-) -> PipelineConfig | None:
-    """The pipeline config for the --sharded-plan family of flags."""
-    if not sharded_plan:
-        if plan_shards or plan_workers:
-            raise SystemExit(
-                "error: --plan-shards/--plan-workers require --sharded-plan"
-            )
-        return None
-    return PipelineConfig(
-        use_sharded_plan=True,
-        plan_shards=plan_shards,
-        num_partition_workers=plan_workers,
-    )
+def _config(workers: int, **fields) -> PipelineConfig:
+    """The pipeline config for ``--workers`` plus command-specific fields."""
+    if workers < 0:
+        raise SystemExit("error: --workers must be >= 0")
+    return PipelineConfig(num_partition_workers=workers, **fields)
 
 
 def cmd_info(dataset: TrafficDataset) -> str:
@@ -273,19 +245,11 @@ def cmd_select(
     dataset: TrafficDataset,
     budget: int | None,
     method: str,
-    parallel: bool = False,
-    workers: int = 0,
+    workers: int = 1,
     partitions: int = 8,
     rounds: int = 1,
 ) -> str:
-    if parallel:
-        method = "partition"
-    config = PipelineConfig(
-        selection_method=method,
-        num_partitions=partitions,
-        use_parallel_partitions=parallel,
-        num_partition_workers=workers,
-    )
+    config = _config(workers, selection_method=method, num_partitions=partitions)
     k = _default_budget(dataset, budget)
     lines = []
     with _fitted_system(dataset, config) as system:
@@ -325,15 +289,11 @@ def cmd_estimate(
     hour: float,
     show: int,
     show_map: bool = False,
-    sharded_plan: bool = False,
-    plan_shards: int = 0,
-    plan_workers: int = 0,
+    workers: int = 1,
 ) -> str:
     if not 0.0 <= hour < 24.0:
         raise SystemExit("error: --hour must be in [0, 24)")
-    with _fitted_system(
-        dataset, _plan_config(sharded_plan, plan_shards, plan_workers)
-    ) as system:
+    with _fitted_system(dataset, _config(workers)) as system:
         k = _default_budget(dataset, budget)
         seeds = system.select_seeds(k)
         interval = dataset.grid.interval_at(dataset.first_test_day, hour)
@@ -509,9 +469,7 @@ def cmd_serve(
     expect_page: str | None = None,
     explain: int | None = None,
     metrics_out: str | None = None,
-    sharded_plan: bool = False,
-    plan_shards: int = 0,
-    plan_workers: int = 0,
+    workers: int = 1,
 ) -> tuple[str, int]:
     """Drive the publisher/store serving loop and sweep readers.
 
@@ -554,9 +512,7 @@ def cmd_serve(
     slo_check = slo_check or expect_page is not None
     slo = slo or slo_check
 
-    system = _fitted_system(
-        dataset, _plan_config(sharded_plan, plan_shards, plan_workers)
-    )
+    system = _fitted_system(dataset, _config(workers))
     k = _default_budget(dataset, budget)
     system.select_seeds(k)
     pool = WorkerPool.sample(
@@ -670,7 +626,7 @@ def cmd_serve(
                 handle.write(text)
         explanation = store.explain(explain) if explain is not None else None
         slo_statuses = engine.statuses() if engine is not None else None
-    system.close()  # releases the plan-compile pool when sharded
+    system.close()  # releases the worker pools, if any started
     answered = sum(
         n for s, n in status_totals.items()
         if s in ("fresh", "stale", "baseline")
@@ -867,11 +823,17 @@ def cmd_stream(
         def counter(name, **labels):
             return rec.registry.counter(name, **labels).value
 
+        def district_compiles():
+            return sum(
+                series.value
+                for _, series in rec.registry.series("plan.shard_compiles")
+            )
+
         for day_index in range(window, total_days):
             day = day_fields[day_index]
             dropped_before = counter("fidelity.invalidations", scope="rows")
-            evicted_before = counter("plan.rows_evicted")
-            compiles_before = counter("plan.cache", hit="false")
+            evicted_before = counter("plan.shards_evicted")
+            compiles_before = district_compiles()
             rolling.ingest_day(day)
             try:
                 rolling.verify_incremental()
@@ -899,8 +861,8 @@ def cmd_stream(
                 ),
                 int(counter("fidelity.invalidations", scope="rows")
                     - dropped_before),
-                int(counter("plan.rows_evicted") - evicted_before),
-                int(counter("plan.cache", hit="false") - compiles_before),
+                int(counter("plan.shards_evicted") - evicted_before),
+                int(district_compiles() - compiles_before),
                 fmt(sum(errors) / len(errors)) if errors else "-",
             ])
 
@@ -919,8 +881,8 @@ def cmd_stream(
 
     lines.append(
         format_table(
-            ["day", "delta(+/-/~)", "rows dropped", "plans evicted",
-             "compiles", "mae km/h"],
+            ["day", "delta(+/-/~)", "rows dropped", "shards evicted",
+             "district compiles", "mae km/h"],
             rows,
             title="Per-day streaming telemetry",
         )
@@ -998,7 +960,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             dataset,
             args.budget,
             args.method,
-            parallel=args.parallel,
             workers=args.workers,
             partitions=args.partitions,
             rounds=args.rounds,
@@ -1010,9 +971,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.hour,
             args.show,
             args.show_map,
-            sharded_plan=args.sharded_plan,
-            plan_shards=args.plan_shards,
-            plan_workers=args.plan_workers,
+            workers=args.workers,
         )
     elif args.command == "route":
         output = cmd_route(
@@ -1034,9 +993,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             expect_page=args.expect_page,
             explain=args.explain,
             metrics_out=args.metrics_out,
-            sharded_plan=args.sharded_plan,
-            plan_shards=args.plan_shards,
-            plan_workers=args.plan_workers,
+            workers=args.workers,
         )
         print(output)
         return code

@@ -34,38 +34,20 @@ class PipelineConfig:
     correlation_min_valid_fraction: float = 0.1
     selection_method: str = "lazy"
     inference_method: str = "propagation"
+    #: District count: partitioned selection and Step-2 plan shards
+    #: both split the graph into these num_partitions districts
+    #: (computed once per system).
     num_partitions: int = 8
-    #: Use the vectorized CSR fidelity kernel (repro.history.fidelity)
-    #: for propagation inference and seed selection; False selects the
-    #: scalar reference paths for differential testing.
-    use_fidelity_kernel: bool = True
-    #: Serve Step-2 through compiled interval plans (repro.speed.plan):
-    #: one matrix-vector product + vectorized blend per interval. False
-    #: selects the per-road scalar reference path for differential
-    #: testing, mirroring use_fidelity_kernel.
-    use_interval_plan: bool = True
     #: Capacity of the interval-plan LRU (one entry per seed set x time
     #: bucket; 128 covers a full day of 15-minute buckets with room for
     #: a second seed set).
     plan_cache_size: int = 128
-    #: Run partitioned seed selection across a process pool with the CSR
-    #: fidelity arrays shared read-only (repro.seeds.parallel). Only
-    #: meaningful with selection_method="partition"; the parallel path
-    #: returns the identical seed sequence to the single-process one.
-    use_parallel_partitions: bool = False
-    #: Worker count for the partition pool; 0 means "one per CPU, capped
-    #: at the partition count".
-    num_partition_workers: int = 0
-    #: Compile Step-2 interval plans per district (repro.speed.shardplan)
-    #: instead of one monolithic structure: district shards are compiled
-    #: independently (across the plan-compile process pool when
-    #: num_partition_workers != 1), evaluated per district and stitched
-    #: in district order — bitwise identical to the monolithic plan —
-    #: and graph deltas recompile only the affected districts' shards.
-    use_sharded_plan: bool = False
-    #: District count for sharded plan compilation; 0 means "follow
-    #: num_partitions".
-    plan_shards: int = 0
+    #: Worker processes for partitioned selection (with district-
+    #: accumulated Step-1 votes) and district plan compiles: 1 runs
+    #: everything in-process, N > 1 uses process pools with the large
+    #: read-only arrays in shared memory, 0 means one per CPU. Results
+    #: are identical either way (selection bitwise, votes to 1e-9).
+    num_partition_workers: int = 1
     hlm: HlmParams = field(default_factory=HlmParams)
     degradation: DegradationParams = field(default_factory=DegradationParams)
 
@@ -92,10 +74,3 @@ class PipelineConfig:
             raise ConfigError("num_partition_workers must be >= 0 (0 = auto)")
         if self.plan_cache_size < 1:
             raise ConfigError("plan_cache_size must be >= 1")
-        if self.plan_shards < 0:
-            raise ConfigError("plan_shards must be >= 0 (0 = num_partitions)")
-        if self.use_sharded_plan and not self.use_interval_plan:
-            raise ConfigError(
-                "use_sharded_plan requires use_interval_plan (sharding "
-                "compiles the interval-plan structures per district)"
-            )

@@ -23,7 +23,6 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from typing import Iterator, Sequence
 
@@ -43,7 +42,7 @@ from repro.seeds.baselines import k_center_select, random_select, top_degree_sel
 from repro.seeds.greedy import SelectionResult, greedy_select
 from repro.seeds.lazy import lazy_greedy_select
 from repro.seeds.objective import SeedSelectionObjective
-from repro.seeds.partition import partition_greedy_select
+from repro.seeds.partition import partition_graph, partition_greedy_select
 from repro.speed.degradation import DegradationParams, DegradationPolicy
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.plan import IntervalPlanCache
@@ -110,26 +109,27 @@ class SpeedEstimationSystem:
         graph: CorrelationGraph,
         config: PipelineConfig,
     ) -> None:
-        if config.use_parallel_partitions and not config.use_fidelity_kernel:
-            raise ConfigError(
-                "use_parallel_partitions requires use_fidelity_kernel "
-                "(district workers run the CSR kernel)"
-            )
         self._network = network
         self._store = store
         self._graph = graph
         self._config = config
         # One influence cache for the whole system: Step-1 inference,
         # seed selection and Step-2 regression all share fidelity rows.
-        self._fidelity = FidelityCacheService(
-            use_kernel=config.use_fidelity_kernel
-        )
+        self._fidelity = FidelityCacheService()
         # Compiled Step-2 serving plans live next to the fidelity cache
         # and are invalidated with it.
         self._plan_cache = IntervalPlanCache(
             maxsize=config.plan_cache_size
         ).attach(self._fidelity)
         self._inference = self._build_inference(config, self._fidelity)
+        self._objective = SeedSelectionObjective(
+            graph,
+            min_fidelity=config.hlm.min_fidelity,
+            fidelity_service=self._fidelity,
+        )
+        # The district cover, computed once: partitioned selection and
+        # the Step-2 planner's shards both split the graph this way.
+        self._districts = partition_graph(self._objective, config.num_partitions)
         self._estimator = TwoStepEstimator(
             network,
             store,
@@ -138,25 +138,15 @@ class SpeedEstimationSystem:
             hlm_params=config.hlm,
             fidelity_service=self._fidelity,
             plan_cache=self._plan_cache,
-            use_plan=config.use_interval_plan,
-            planner_factory=(
-                self._make_sharded_planner if config.use_sharded_plan else None
-            ),
-        )
-        self._objective = SeedSelectionObjective(
-            graph,
-            min_fidelity=config.hlm.min_fidelity,
-            fidelity_service=self._fidelity,
-            use_kernel=config.use_fidelity_kernel,
+            districts=self._districts,
+            plan_workers=config.num_partition_workers,
         )
         self._seeds: list[int] = []
         self._selection: SelectionResult | None = None
         self._degradation = DegradationPolicy(store, config.degradation)
-        # Lazy: the district process pool (shared CSR arrays + workers),
-        # the plan-compile pool and the warm-started incremental
-        # re-selector.
+        # Lazy: the district process pool (shared CSR arrays + workers)
+        # and the warm-started incremental re-selector.
         self._district_pool = None
-        self._plan_pool = None
         self._reselector = None
 
     # ------------------------------------------------------------------
@@ -207,7 +197,6 @@ class SpeedEstimationSystem:
             return TrendPropagationInference(
                 min_fidelity=config.hlm.min_fidelity,
                 fidelity_service=fidelity,
-                use_kernel=config.use_fidelity_kernel,
             )
         if config.inference_method == "bp":
             return LoopyBeliefPropagation()
@@ -288,13 +277,11 @@ class SpeedEstimationSystem:
             elif method == "lazy":
                 result = lazy_greedy_select(self._objective, budget)
             elif method == "partition":
-                if self._config.use_parallel_partitions:
+                if self._config.num_partition_workers != 1:
                     result = self.district_pool().select(budget)
                 else:
                     result = partition_greedy_select(
-                        self._objective,
-                        budget,
-                        num_partitions=self._config.num_partitions,
+                        self._objective, budget, partitions=self._districts
                     )
             elif method == "random":
                 result = random_select(self._objective, budget, seed=random_seed)
@@ -314,53 +301,31 @@ class SpeedEstimationSystem:
         return self.seeds
 
     def district_pool(self):
-        """The lazily created district process pool (parallel configs).
+        """The lazily created district process pool (worker configs).
 
         Created on first use and reused for every subsequent selection
         and Step-1 round; call :meth:`close` (or use the system as a
         context manager) to release the workers and the shared-memory
         segments.
         """
-        if not self._config.use_parallel_partitions:
+        if self._config.num_partition_workers == 1:
             raise ConfigError(
-                "district_pool requires use_parallel_partitions=True"
+                "district_pool requires num_partition_workers != 1 "
+                "(1 runs selection in-process)"
             )
         if self._district_pool is None:
             from repro.seeds.parallel import DistrictPool
 
             self._district_pool = DistrictPool(
                 self._objective,
-                num_partitions=self._config.num_partitions,
                 num_workers=self._config.num_partition_workers,
+                partitions=self._districts,
             )
             if isinstance(self._inference, TrendPropagationInference):
                 self._inference.set_vote_accumulator(
                     self._district_pool.vote_accumulator
                 )
         return self._district_pool
-
-    def _make_sharded_planner(self, store, network, hlm, road_ids):
-        """Planner factory for ``use_sharded_plan`` (estimator calls it).
-
-        Districts come from the same deterministic
-        :func:`~repro.seeds.partition.partition_graph` the selection
-        path uses (``plan_shards`` districts, defaulting to
-        ``num_partitions``). With ``num_partition_workers != 1`` the
-        district compiles run across a :class:`~repro.speed.shardplan.
-        PlanCompilePool` owned by this system; exactly one worker keeps
-        compilation in-process through the identical sharded code path.
-        """
-        from repro.seeds.partition import partition_graph
-        from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
-
-        shards = self._config.plan_shards or self._config.num_partitions
-        partitions = partition_graph(self._objective, shards)
-        workers = self._config.num_partition_workers or (os.cpu_count() or 1)
-        if workers != 1 and self._plan_pool is None:
-            self._plan_pool = PlanCompilePool(hlm, store, num_workers=workers)
-        return ShardedIntervalPlanner(
-            store, network, hlm, road_ids, partitions, pool=self._plan_pool
-        )
 
     def reselect_seeds(self, budget: int) -> list[int]:
         """Re-select seeds with the warm-started incremental CELF.
@@ -397,13 +362,14 @@ class SpeedEstimationSystem:
         if delta.is_empty:
             return ()
         dropped = self._fidelity.apply_graph_delta(self._graph, delta)
-        if self._district_pool is not None:
-            # The district pool's shared-memory CSR arrays bake in the
-            # old edge weights; release it and rebuild lazily on next
-            # use. The plan-compile pool survives: its shared arrays are
-            # the centred *history* matrix, which a graph delta never
-            # touches — only the influence maps fed per compile change.
-            self._close_district_pool()
+        # The district pool's shared-memory CSR arrays bake in the old
+        # edge weights; release it and rebuild lazily on next use. The
+        # plan-compile pool survives: its shared arrays are the centred
+        # *history* matrix, which a graph delta never touches — only the
+        # influence maps fed per compile change. The districts survive
+        # too: plans evaluate bitwise equal over any cover, and
+        # partitioned selection keeps one split for the system's life.
+        self._close_district_pool()
         return dropped
 
     def bind_rolling(self, rolling) -> "SpeedEstimationSystem":
@@ -433,9 +399,7 @@ class SpeedEstimationSystem:
     def close(self) -> None:
         """Release round-serving resources (district + plan pools)."""
         self._close_district_pool()
-        if self._plan_pool is not None:
-            self._plan_pool.close()
-            self._plan_pool = None
+        self._estimator.close()
 
     def __enter__(self) -> "SpeedEstimationSystem":
         return self

@@ -12,7 +12,6 @@ from repro.history.fidelity import (
     best_fidelity_rows,
     edge_fidelity,
     get_fidelity_service,
-    propagate_fidelity_scalar,
     set_fidelity_service,
 )
 from repro.history.incremental import (
@@ -47,7 +46,6 @@ __all__ = [
     "best_fidelity_rows",
     "edge_fidelity",
     "get_fidelity_service",
-    "propagate_fidelity_scalar",
     "set_fidelity_service",
     "load_field",
     "load_graph",

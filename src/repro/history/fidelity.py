@@ -23,9 +23,8 @@ This module makes the structure first-class:
   the *sound* ``max_hops`` semantics (a weaker-but-shorter path is
   never shadowed by a stronger-but-longer one, unlike single-label
   Dijkstra pruning).
-* :func:`propagate_fidelity_scalar` — the dict/heap scalar reference
-  the kernel is differentially tested against (and the implementation
-  behind :func:`repro.trend.propagation.propagate_fidelity`).
+  The test suite's dict/heap scalar oracle (``tests/oracles.py``) pins
+  it bitwise.
 * :class:`FidelityCacheService` — the single shared cache keyed by
   graph identity (weakly), fidelity floor, hop budget and transform.
   :class:`~repro.trend.propagation.TrendPropagationInference`,
@@ -43,7 +42,6 @@ as ``fidelity.cache`` counts (see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from dataclasses import dataclass
@@ -67,7 +65,7 @@ from repro.obs import get_recorder
 ROW_TRANSFORMS = ("fidelity", "variance", "logodds")
 
 #: Clamp applied to ``q`` before the log-odds vote, matching the
-#: scalar inference path exactly.
+#: per-entry scalar vote exactly.
 _LOGODDS_CLAMP = 1.0 - 1e-9
 
 
@@ -222,85 +220,14 @@ def best_fidelity_rows(
     )
 
 
-def propagate_fidelity_scalar(
-    graph: CorrelationGraph,
-    source: int,
-    min_fidelity: float = 0.05,
-    max_hops: int | None = None,
-) -> dict[int, float]:
-    """Scalar (dict/heap) reference for best-path fidelity propagation.
-
-    Semantically identical to :func:`best_fidelity_row` (and kept for
-    differential testing): without a hop budget it is a pruned
-    max-product Dijkstra; with one it is the same frontier-synchronous
-    relaxation in dict form, because single-label Dijkstra cannot bound
-    hops soundly — a weaker-but-shorter path must survive alongside a
-    stronger-but-longer one.
-    """
-    if not graph.has_road(source):
-        raise InferenceError(f"source road {source} not in correlation graph")
-    _validate(min_fidelity)
-    if max_hops is not None:
-        return _scalar_bounded(graph, source, min_fidelity, max_hops)
-
-    best: dict[int, float] = {source: 1.0}
-    # Max-heap via negated fidelity.
-    heap: list[tuple[float, int]] = [(-1.0, source)]
-    while heap:
-        neg_fid, road = heapq.heappop(heap)
-        fidelity = -neg_fid
-        if fidelity < best.get(road, 0.0):
-            continue
-        for edge in graph.neighbours(road):
-            other = edge.other(road)
-            candidate = fidelity * edge_fidelity(edge.agreement)
-            if candidate < min_fidelity:
-                continue
-            if candidate > best.get(other, 0.0):
-                best[other] = candidate
-                heapq.heappush(heap, (-candidate, other))
-    return best
-
-
-def _scalar_bounded(
-    graph: CorrelationGraph, source: int, min_fidelity: float, max_hops: int
-) -> dict[int, float]:
-    """Hop-bounded best fidelity: synchronous layered relaxation.
-
-    After layer ``h``, ``best`` is the optimum over paths of <= ``h``
-    hops — the candidate path's own hop count is what gets bounded, so
-    a road reachable only through a short weak path is never dropped
-    because a longer strong path reached it first.
-    """
-    best: dict[int, float] = {source: 1.0}
-    frontier: dict[int, float] = {source: 1.0}
-    for _ in range(max_hops):
-        improved: dict[int, float] = {}
-        for road, fidelity in frontier.items():
-            for edge in graph.neighbours(road):
-                other = edge.other(road)
-                candidate = fidelity * edge_fidelity(edge.agreement)
-                if candidate < min_fidelity:
-                    continue
-                if candidate > best.get(other, 0.0) and candidate > improved.get(
-                    other, 0.0
-                ):
-                    improved[other] = candidate
-        if not improved:
-            break
-        best.update(improved)
-        frontier = improved
-    return best
-
-
 def _transform_row(
     row: np.ndarray, source: int, transform: str, support: np.ndarray
 ) -> np.ndarray:
     """Apply a row transform entry-by-entry on the support.
 
     The per-entry math intentionally uses :mod:`math` so transformed
-    values are bitwise identical to the scalar reference paths, keeping
-    the kernel/scalar differential byte-exact per entry.
+    values are bitwise identical to the scalar oracles' per-entry votes
+    and gains, keeping the kernel/oracle differential byte-exact.
     """
     if transform == "fidelity":
         return row
@@ -373,13 +300,10 @@ class FidelityCacheService:
     Caches are keyed by graph *identity* (weakly, so dropped graphs
     free their rows), fidelity floor, hop budget and transform — mining
     a new correlation graph or changing a floor can never serve stale
-    rows. ``use_kernel=False`` computes rows with the scalar reference
-    instead of the CSR kernel (identical results; used for differential
-    benchmarking) while still sharing this cache's bookkeeping.
+    rows. Rows are computed by the CSR kernel in :meth:`_propagate`.
     """
 
-    def __init__(self, use_kernel: bool = True) -> None:
-        self.use_kernel = use_kernel
+    def __init__(self) -> None:
         self._graphs: "weakref.WeakKeyDictionary[CorrelationGraph, _GraphEntry]" = (
             weakref.WeakKeyDictionary()
         )
@@ -652,20 +576,24 @@ class FidelityCacheService:
         cached = per_key.get(road)
         if cached is not None:
             return cached
+        row = self._propagate(graph, road, min_fidelity, max_hops)
+        row.setflags(write=False)
+        per_key[road] = row
+        return row
+
+    def _propagate(
+        self,
+        graph: CorrelationGraph,
+        road: int,
+        min_fidelity: float,
+        max_hops: int | None,
+    ) -> np.ndarray:
+        """One dense raw best-fidelity row from ``road`` (CSR kernel)."""
         csr = self.csr(graph)
         source = csr.index.get(road)
         if source is None:
             raise InferenceError(f"source road {road} not in correlation graph")
-        if self.use_kernel:
-            row = best_fidelity_row(csr, source, min_fidelity, max_hops)
-        else:
-            scalar = propagate_fidelity_scalar(graph, road, min_fidelity, max_hops)
-            row = np.zeros(csr.num_roads, dtype=np.float64)
-            for other, fidelity in scalar.items():
-                row[csr.index[other]] = fidelity
-        row.setflags(write=False)
-        per_key[road] = row
-        return row
+        return best_fidelity_row(csr, source, min_fidelity, max_hops)
 
 
 _default_service = FidelityCacheService()

@@ -27,9 +27,9 @@ itself.
 arrays (one cache across selection, Step-1 inference and Step-2
 regression; clones and partitioned selection share it for free), so a
 marginal-gain query is one masked dot product and a seed addition is an
-index-array residual update. The original dict-walk implementation is
-the scalar reference behind ``use_kernel=False``; experiment F4 asserts
-both produce byte-identical greedy/CELF seed sequences.
+index-array residual update. The original dict-walk implementation
+lives on as a test oracle; experiment F4 asserts both produce
+byte-identical greedy/CELF seed sequences.
 
 **Properties** (exploited by the greedy algorithms and property-tested
 in the suite):
@@ -87,16 +87,8 @@ class CoverageState:
         objective = self._objective
         if candidate not in objective.index:
             raise SelectionError(f"candidate {candidate} not in correlation graph")
-        if objective.use_kernel:
-            row = objective.influence_row(candidate)
-            return float((objective.weights * self.residual) @ row)
-        gain = 0.0
-        weights = objective.weights
-        index = objective.index
-        for road, q in objective.influence_map(candidate).items():
-            i = index[road]
-            gain += weights[i] * self.residual[i] * q
-        return gain
+        row = objective.influence_row(candidate)
+        return float((objective.weights * self.residual) @ row)
 
     def add(self, seed: int) -> float:
         """Add a seed; returns its realised marginal gain.
@@ -107,15 +99,9 @@ class CoverageState:
         gain = self.gain(seed)
         if seed in self._selected:
             return gain
-        objective = self._objective
-        if objective.use_kernel:
-            row = objective.influence_row(seed)
-            support = np.flatnonzero(row)
-            self.residual[support] *= 1.0 - row[support]
-        else:
-            index = objective.index
-            for road, q in objective.influence_map(seed).items():
-                self.residual[index[road]] *= 1.0 - q
+        row = self._objective.influence_row(seed)
+        support = np.flatnonzero(row)
+        self.residual[support] *= 1.0 - row[support]
         self.seeds.append(seed)
         self._selected.add(seed)
         self.value += gain
@@ -129,9 +115,7 @@ class SeedSelectionObjective:
     inference); ``road_weights`` defaults to uniform. A road always
     covers itself with fidelity 1, so Q(S) ≥ Σ_{u∈S} w_u.
     ``fidelity_service`` is the shared cross-stage influence cache
-    (defaults to the process-wide service); ``use_kernel=False``
-    switches the coverage state to the scalar dict-walk reference for
-    differential testing.
+    (defaults to the process-wide service).
     """
 
     def __init__(
@@ -141,7 +125,6 @@ class SeedSelectionObjective:
         road_weights: dict[int, float] | None = None,
         transform: str = "variance",
         fidelity_service: FidelityCacheService | None = None,
-        use_kernel: bool = True,
     ) -> None:
         if transform not in INFLUENCE_TRANSFORMS:
             raise SelectionError(
@@ -152,7 +135,6 @@ class SeedSelectionObjective:
         self._min_fidelity = min_fidelity
         self._transform = transform
         self._service = fidelity_service or get_fidelity_service()
-        self.use_kernel = use_kernel
         # Influence rows are CSR-ordered; the objective adopts the same
         # (sorted road id) order so rows need no re-indexing.
         self._road_ids = list(self._service.csr(graph).road_ids)
@@ -281,7 +263,6 @@ class SeedSelectionObjective:
             road_weights=road_weights,
             transform=self._transform,
             fidelity_service=self._service,
-            use_kernel=self.use_kernel,
         )
 
     def new_state(self) -> CoverageState:

@@ -41,7 +41,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context, shared_memory
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class SharedArrayExport:
 
     The generic half of the worker plumbing: any pool that ships large
     read-only arrays to spawn workers (district selection here, sharded
-    plan compilation in :mod:`repro.speed.shardplan`) publishes them
+    plan compilation in :mod:`repro.speed.plan`) publishes them
     through one of these and hands ``specs`` to the pool initializer.
     Owns the shared-memory segments: :meth:`close` both closes and
     unlinks them (workers keep their own mappings alive until exit).
@@ -161,7 +161,7 @@ def attach_shared_array(spec: _ArraySpec) -> np.ndarray:
     """Worker-side attach to one exported array (read-only view).
 
     Public alias of the internal attach helper so other pools (the
-    plan-compile pool in :mod:`repro.speed.shardplan`) can reuse the
+    plan-compile pool in :mod:`repro.speed.plan`) can reuse the
     segment bookkeeping without reaching into module privates.
     """
     return _attach(spec)
@@ -191,13 +191,11 @@ class _SharedArrayObjective:
     Exposes exactly the surface :class:`~repro.seeds.objective.
     CoverageState` and :func:`~repro.seeds.lazy.lazy_greedy_select`
     touch (``num_roads``/``road_ids``/``index``/``weights``/
-    ``use_kernel``/``influence_row``/``new_state``), with rows
+    ``influence_row``/``new_state``), with rows
     recomputed from the shared arrays by the same kernel + transform
     math the parent's cache service uses — so gains, tie-breaks and
     therefore seed sequences are bitwise identical to the parent's.
     """
-
-    use_kernel = True
 
     def __init__(
         self,
@@ -283,8 +281,10 @@ class DistrictPool:
 
     Create once, reuse for every selection and Step-1 round on the same
     system (spawning workers and exporting the arrays is the expensive
-    part). Close explicitly (or use as a context manager) to release
-    the pool and unlink the shared segments.
+    part). ``partitions`` reuses districts the caller already computed
+    (default: ``partition_graph(objective, num_partitions)``). Close
+    explicitly (or use as a
+    context manager) to release the pool and unlink the shared segments.
     """
 
     def __init__(
@@ -292,15 +292,13 @@ class DistrictPool:
         objective: SeedSelectionObjective,
         num_partitions: int = 8,
         num_workers: int = 0,
+        partitions: Sequence[Sequence[int]] | None = None,
     ) -> None:
-        if not objective.use_kernel:
-            raise SelectionError(
-                "parallel district selection requires the fidelity kernel "
-                "(objective built with use_kernel=False)"
-            )
         self._objective = objective
         self._graph = objective.graph
-        self._partitions = partition_graph(objective, num_partitions)
+        if partitions is None:
+            partitions = partition_graph(objective, num_partitions)
+        self._partitions = [list(chunk) for chunk in partitions]
         self._district_of = {
             road: district
             for district, chunk in enumerate(self._partitions)

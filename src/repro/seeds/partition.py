@@ -15,6 +15,7 @@ speed-up and F5 the objective cost versus exact greedy.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from repro.core.errors import SelectionError
 from repro.seeds.greedy import SelectionResult, validate_budget
@@ -101,10 +102,16 @@ def partition_greedy_select(
     objective: SeedSelectionObjective,
     budget: int,
     num_partitions: int = 8,
+    partitions: Sequence[Sequence[int]] | None = None,
 ) -> SelectionResult:
-    """Partitioned lazy greedy; near-greedy quality at a fraction of cost."""
+    """Partitioned lazy greedy; near-greedy quality at a fraction of cost.
+
+    ``partitions`` reuses districts the caller already computed
+    (default: ``partition_graph(objective, num_partitions)``).
+    """
     validate_budget(objective, budget)
-    partitions = partition_graph(objective, num_partitions)
+    if partitions is None:
+        partitions = partition_graph(objective, num_partitions)
     shares = allocate_budget(partitions, budget)
 
     seeds: list[int] = []

@@ -21,6 +21,8 @@ from repro.speed.plan import (
     IntervalPlanCache,
     IntervalPlanner,
     PlanCacheStats,
+    PlanCompilePool,
+    PlanShard,
 )
 from repro.speed.hlm import (
     HierarchicalLinearModel,
@@ -28,12 +30,6 @@ from repro.speed.hlm import (
     JointSeedRegression,
     RoadRegression,
     SeedRegression,
-)
-from repro.speed.shardplan import (
-    PlanCompilePool,
-    PlanShard,
-    ShardedIntervalPlan,
-    ShardedIntervalPlanner,
 )
 
 __all__ = [
@@ -53,8 +49,6 @@ __all__ = [
     "PlanShard",
     "RoadRegression",
     "SeedRegression",
-    "ShardedIntervalPlan",
-    "ShardedIntervalPlanner",
     "SpeedBand",
     "TwoStepEstimator",
     "UncertaintyModel",

@@ -9,6 +9,8 @@ for every road in the correlation graph.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.errors import DataError, InferenceError
@@ -39,11 +41,12 @@ class TwoStepEstimator:
     total, not per interval.
 
     Step-2 serving runs through compiled
-    :class:`~repro.speed.plan.IntervalPlan` objects by default — one
-    padded matrix-vector product plus a vectorized blend per interval.
-    ``use_plan=False`` selects the per-road scalar reference path
-    (:meth:`~repro.speed.hlm.HierarchicalLinearModel.estimate_road`),
-    kept for differential testing like ``use_fidelity_kernel=False``.
+    :class:`~repro.speed.plan.IntervalPlan` objects — one padded
+    matrix-vector product per district plus a vectorized blend per
+    interval. ``districts`` is the planner's district cover (default:
+    one district holding every road; any cover evaluates bitwise equal)
+    and ``plan_workers`` other than 1 compiles districts across a
+    process pool; :meth:`close` releases it.
     """
 
     def __init__(
@@ -56,8 +59,8 @@ class TwoStepEstimator:
         hlm_params: HlmParams | None = None,
         fidelity_service: FidelityCacheService | None = None,
         plan_cache: IntervalPlanCache | None = None,
-        use_plan: bool = True,
-        planner_factory=None,
+        districts: Sequence[Sequence[int]] | None = None,
+        plan_workers: int = 1,
     ) -> None:
         self._network = network
         self._store = store
@@ -73,18 +76,21 @@ class TwoStepEstimator:
             store, network, graph, self._params
         )
         self._influence_cache: dict[frozenset[int], dict[int, dict[int, float]]] = {}
-        self._use_plan = use_plan
         # `is not None`, not truthiness: an empty cache has len() == 0.
         self._plans = plan_cache if plan_cache is not None else IntervalPlanCache()
-        # Pluggable planner construction: the pipeline passes a factory
-        # building a district-sharded planner (repro.speed.shardplan)
-        # when use_sharded_plan is on; None keeps the monolithic one.
-        self._planner_factory = planner_factory
-        self._planner: IntervalPlanner | None = None
+        self._planner = IntervalPlanner(
+            store,
+            network,
+            self._hlm,
+            graph.road_ids,
+            districts,
+            num_workers=plan_workers,
+        )
         # Row invalidations (incremental re-mining, targeted evictions)
-        # must also drop the influence indexes and compiled structures
-        # derived from the dropped rows, or a later compile would serve
-        # stale regressions even after the plan cache evicted cleanly.
+        # must also drop the influence indexes derived from the dropped
+        # rows and mark the planner's affected shards — including shard
+        # sets held outside the plan cache — or a later compile would
+        # serve stale regressions.
         self._fidelity.add_row_invalidation_listener(
             WeakRowListener(self._on_rows_invalidated)
         )
@@ -101,6 +107,15 @@ class TwoStepEstimator:
     def plan_cache(self) -> IntervalPlanCache:
         """The LRU of compiled interval plans this estimator serves from."""
         return self._plans
+
+    @property
+    def planner(self) -> IntervalPlanner:
+        """The district planner compiling this estimator's plans."""
+        return self._planner
+
+    def close(self) -> None:
+        """Release the plan-compile pool, if one was started."""
+        self._planner.close()
 
     def estimate_interval(
         self, interval: int, seed_speeds: dict[int, float]
@@ -173,67 +188,14 @@ class TwoStepEstimator:
             instance = self._trend_model.instance(interval, seed_trends)
             posterior = self._inference.infer(instance)
 
-        if self._use_plan:
-            estimates, seed_count = self._solve_vectorized(
-                interval, posterior, seed_speeds, seed_trends, seed_deviations,
-                roads,
-            )
-        else:
-            estimates, seed_count = self._solve_scalar(
-                interval, posterior, seed_speeds, seed_trends, seed_deviations,
-                roads,
-            )
+        estimates, seed_count = self._solve(
+            interval, posterior, seed_speeds, seed_trends, seed_deviations, roads
+        )
         recorder.count("speed.estimates", len(estimates))
         recorder.count("speed.seed_estimates", seed_count)
         return estimates
 
-    def _solve_scalar(
-        self,
-        interval: int,
-        posterior,
-        seed_speeds: dict[int, float],
-        seed_trends: dict[int, Trend],
-        seed_deviations: dict[int, float],
-        roads: list[int],
-    ) -> tuple[dict[int, SpeedEstimate], int]:
-        """The per-road reference path (``use_plan=False``)."""
-        influence_by_road = self._influence_index(frozenset(seed_speeds))
-        estimates: dict[int, SpeedEstimate] = {}
-        seed_count = 0
-        with get_recorder().span("speed.solve", roads=len(roads)):
-            for road in roads:
-                if road in seed_speeds:
-                    trend = seed_trends[road]
-                    estimates[road] = SpeedEstimate(
-                        road_id=road,
-                        interval=interval,
-                        speed_kmh=seed_speeds[road],
-                        trend=trend,
-                        trend_probability=1.0 if trend is Trend.RISE else 0.0,
-                        is_seed=True,
-                    )
-                    seed_count += 1
-                    continue
-                influence = influence_by_road.get(road, {})
-                speed = self._hlm.estimate_road(
-                    road,
-                    interval,
-                    posterior,
-                    seed_deviations,
-                    seed_trends,
-                    influence,
-                )
-                p_rise = posterior.p_rise(road)
-                estimates[road] = SpeedEstimate(
-                    road_id=road,
-                    interval=interval,
-                    speed_kmh=speed,
-                    trend=Trend.RISE if p_rise >= 0.5 else Trend.FALL,
-                    trend_probability=p_rise,
-                )
-        return estimates, seed_count
-
-    def _solve_vectorized(
+    def _solve(
         self,
         interval: int,
         posterior,
@@ -300,27 +262,11 @@ class TwoStepEstimator:
         return estimates, seed_count
 
     def _compile_plan(self, seeds: tuple[int, ...], bucket: int):
-        if self._planner is None:
-            if self._planner_factory is not None:
-                self._planner = self._planner_factory(
-                    self._store, self._network, self._hlm, self._graph.road_ids
-                )
-            else:
-                self._planner = IntervalPlanner(
-                    self._store, self._network, self._hlm, self._graph.road_ids
-                )
-        influence_by_road = self._influence_index(frozenset(seeds))
-        if getattr(self._planner, "sharded", False):
-            # Sharded planners refresh stale district shards lazily; the
-            # provider re-reads the influence index *after* a delta has
-            # dropped the memoised one, so refreshes see fresh rows.
-            return self._planner.compile(
-                seeds,
-                bucket,
-                influence_by_road,
-                influence_provider=lambda: self._influence_index(frozenset(seeds)),
-            )
-        return self._planner.compile(seeds, bucket, influence_by_road)
+        # The planner re-reads the index when it refreshes stale shards,
+        # i.e. *after* a delta has dropped the memoised one.
+        return self._planner.compile(
+            seeds, bucket, lambda: self._influence_index(frozenset(seeds))
+        )
 
     def influence_index(
         self, seeds: frozenset[int] | set[int]
@@ -340,16 +286,14 @@ class TwoStepEstimator:
             return
         if roads is None:
             self._influence_cache.clear()
-            if self._planner is not None:
-                self._planner.evict_structures(None)
+            self._planner.evict_structures(None)
             self._trend_model.refresh_edges()
             return
         road_set = set(roads)
         stale = [key for key in self._influence_cache if key & road_set]
         for key in stale:
             del self._influence_cache[key]
-        if self._planner is not None:
-            self._planner.evict_structures(road_set)
+        self._planner.evict_structures(road_set)
         # In-place graph deltas invalidate the model's baked edge
         # potentials too (cheap: one pass over the edge list).
         self._trend_model.refresh_edges()

@@ -25,7 +25,8 @@ matching the production pattern where one seed set serves many
 intervals.
 
 The predicted speed is ``d̂_r × historical_mean_r(bucket)``, clamped to
-physical limits. Ablation switches reproduce experiments F7a (skip the
+physical limits; :mod:`repro.speed.plan` evaluates that blend for every
+road at once. Ablation switches reproduce experiments F7a (skip the
 trend machinery entirely) and F7b (flat, non-hierarchical prior).
 """
 
@@ -36,13 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import DataError, InferenceError
-from repro.core.types import Trend
 from repro.history.correlation import CorrelationGraph
 from repro.history.store import HistoricalSpeedStore
 from repro.obs import get_recorder
 from repro.roadnet.network import RoadNetwork
 from repro.speed.hierarchy import DeviationHierarchy
-from repro.trend.model import TrendPosterior
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ class JointSeedRegression:
         """Rebuild a regression from its pre-centred deviation matrix.
 
         The worker-side constructor for district-sharded plan
-        compilation (:mod:`repro.speed.shardplan`): the parent exports
+        compilation (:class:`repro.speed.plan.PlanCompilePool`): the parent exports
         ``centred`` (its ``deviation_matrix() - 1.0``, bit-identical
         through shared memory) and the store's column order, so every
         fit a worker produces is bitwise equal to the parent's —
@@ -285,14 +284,10 @@ class HierarchicalLinearModel:
 
     def __init__(
         self,
-        store: HistoricalSpeedStore,
-        network: RoadNetwork,
         hierarchy: DeviationHierarchy,
         regression: JointSeedRegression,
         params: HlmParams,
     ) -> None:
-        self._store = store
-        self._network = network
         self._hierarchy = hierarchy
         self._regression = regression
         self._params = params
@@ -318,7 +313,7 @@ class HierarchicalLinearModel:
                 store, network, kappa=params.shrinkage_kappa
             )
             regression = JointSeedRegression(store, params)
-            return cls(store, network, hierarchy, regression, params)
+            return cls(hierarchy, regression, params)
 
     @property
     def params(self) -> HlmParams:
@@ -331,65 +326,3 @@ class HierarchicalLinearModel:
     @property
     def regression(self) -> JointSeedRegression:
         return self._regression
-
-    # ------------------------------------------------------------------
-    # Prediction
-    # ------------------------------------------------------------------
-    def estimate_road(
-        self,
-        road_id: int,
-        interval: int,
-        posterior: TrendPosterior,
-        seed_deviations: dict[int, float],
-        seed_trends: dict[int, Trend],
-        influence: dict[int, float],
-    ) -> float:
-        """Predicted speed (km/h) for one non-seed road.
-
-        ``seed_deviations`` maps seed road -> observed deviation ratio;
-        ``influence`` maps seed road -> best-path fidelity q(seed→road),
-        already floor-filtered by the caller.
-        """
-        del seed_trends  # trend information enters through the posterior
-        params = self._params
-        bucket = self._store.grid.bucket_of(interval)
-
-        if params.use_trend:
-            p_rise = posterior.p_rise(road_id)
-            map_trend = Trend.RISE if p_rise >= 0.5 else Trend.FALL
-            prior_mean = self._prior_mean(road_id, bucket, map_trend)
-            # A confident posterior makes the trend-conditional prior
-            # trustworthy; an uncertain one should barely steer.
-            confidence = 2.0 * max(p_rise, 1.0 - p_rise) - 1.0
-            prior_weight = params.prior_weight * (0.25 + 0.75 * confidence)
-        else:
-            prior_mean = 1.0
-            prior_weight = params.prior_weight
-
-        fitted = self._regression.for_road(road_id, influence)
-        if fitted is None:
-            predicted_deviation = prior_mean
-        else:
-            missing = [s for s in fitted.seeds if s not in seed_deviations]
-            if missing:
-                raise InferenceError(
-                    f"influencing seeds {missing[:3]} have no observation"
-                )
-            regressed = fitted.predict(seed_deviations)
-            predicted_deviation = (
-                prior_weight * prior_mean + fitted.weight * regressed
-            ) / (prior_weight + fitted.weight)
-
-        historical = self._store.historical_speed(road_id, interval)
-        speed = predicted_deviation * historical
-        return self._clamp(road_id, speed)
-
-    def _prior_mean(self, road_id: int, bucket: int, trend: Trend) -> float:
-        if self._params.hierarchical:
-            return self._hierarchy.conditional_mean(road_id, bucket, trend)
-        return self._hierarchy.global_mean(trend)
-
-    def _clamp(self, road_id: int, speed: float) -> float:
-        segment = self._network.segment(road_id)
-        upper = segment.free_flow_kmh * self._params.max_over_free_flow
-        return float(min(upper, max(self._params.min_speed_kmh, speed)))

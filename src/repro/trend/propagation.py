@@ -28,24 +28,23 @@ dense ``log((1+q)/(1-q))`` arrays by the shared
 :class:`~repro.history.fidelity.FidelityCacheService` (one cache across
 inference, seed selection and Step-2 regression), and one interval's
 inference collapses to ``log_odds += signs @ vote_rows``. The original
-dict/heap implementation stays available as the scalar reference
-(``use_kernel=False``) for differential testing — experiment F3 asserts
-the kernel path matches it to 1e-9 while being several times faster.
+dict/heap implementation lives on as a test oracle; experiment F3
+asserts the kernel path matches it to 1e-9 while being several times
+faster.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.core.errors import InferenceError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.history.fidelity import (
+    CSRFidelityGraph,
     FidelityCacheService,
+    best_fidelity_row,
     edge_fidelity,
     get_fidelity_service,
-    propagate_fidelity_scalar,
 )
 from repro.obs import get_recorder
 from repro.trend.model import TrendInstance, TrendPosterior
@@ -66,15 +65,20 @@ def propagate_fidelity(
 ) -> dict[int, float]:
     """Best-path fidelity from ``source`` to every reachable road.
 
-    The scalar reference implementation (dict/heap) of the shared
-    :mod:`repro.history.fidelity` kernel: expansion stops once the path
+    The dict form of one :func:`~repro.history.fidelity.best_fidelity_row`
+    over a fresh CSR export of ``graph`` (fresh, so an in-place graph
+    delta can never serve stale weights): expansion stops once the path
     fidelity falls below ``min_fidelity``, and ``max_hops`` bounds the
     *candidate path's own* hop count — a road reachable only through a
     short weak path is kept even when a longer, stronger path found it
     first. The source itself has fidelity 1. Returns only roads whose
     fidelity is at least the floor.
     """
-    return propagate_fidelity_scalar(graph, source, min_fidelity, max_hops)
+    if not graph.has_road(source):
+        raise InferenceError(f"source road {source} not in correlation graph")
+    csr = CSRFidelityGraph.from_graph(graph)
+    row = best_fidelity_row(csr, csr.index[source], min_fidelity, max_hops)
+    return {csr.road_ids[i]: float(row[i]) for i in np.flatnonzero(row)}
 
 
 def instance_graph(instance: TrendInstance) -> CorrelationGraph:
@@ -95,11 +99,9 @@ class TrendPropagationInference:
     """The fast Step-1 inference: independent seed votes in log-odds space.
 
     ``fidelity_service`` is the shared cross-stage influence cache
-    (defaults to the process-wide service); ``use_kernel=False`` selects
-    the scalar per-seed vote loop over the vectorized accumulation, for
-    differential testing. Evidence on roads absent from the instance's
-    index or the correlation graph is skipped consistently in both the
-    vote and the clamp stage.
+    (defaults to the process-wide service). Evidence on roads absent
+    from the instance's index or the correlation graph is skipped
+    consistently in both the vote and the clamp stage.
     """
 
     def __init__(
@@ -108,7 +110,6 @@ class TrendPropagationInference:
         max_hops: int | None = None,
         prior_weight: float = 1.0,
         fidelity_service: FidelityCacheService | None = None,
-        use_kernel: bool = True,
     ) -> None:
         if prior_weight < 0.0:
             raise InferenceError("prior_weight must be non-negative")
@@ -116,7 +117,6 @@ class TrendPropagationInference:
         self._max_hops = max_hops
         self._prior_weight = prior_weight
         self._service = fidelity_service or get_fidelity_service()
-        self._use_kernel = use_kernel
         self._vote_accumulator = None
 
     @property
@@ -128,11 +128,9 @@ class TrendPropagationInference:
 
         ``accumulator(graph, seeds, signs)`` must return the CSR-ordered
         vote vector and its nonzero count — the contract of
-        :meth:`repro.seeds.parallel.DistrictPool.vote_accumulator`. Used
-        only on the kernel path and only when the instance's road order
-        matches the CSR order (the metropolitan pipeline case); partial
-        sums may differ from the serial matmul by float re-association
-        (≤ 1e-9), which the differential tests pin.
+        :meth:`repro.seeds.parallel.DistrictPool.vote_accumulator`.
+        Partial sums may differ from the serial matmul by float
+        re-association (≤ 1e-9), which the differential tests pin.
         """
         self._vote_accumulator = accumulator
 
@@ -154,10 +152,7 @@ class TrendPropagationInference:
             else:
                 index = instance.index
             misses_before = self._service.stats().misses
-            if self._use_kernel:
-                votes = self._accumulate_kernel(graph, instance, index, log_odds)
-            else:
-                votes = self._accumulate_scalar(graph, instance, index, log_odds)
+            votes = self._accumulate(graph, instance, index, log_odds)
             cache_misses = self._service.stats().misses - misses_before
 
             p_rise = 1.0 / (1.0 + np.exp(-np.clip(log_odds, -500, 500)))
@@ -195,7 +190,7 @@ class TrendPropagationInference:
             if road in index and graph.has_road(road)
         ]
 
-    def _accumulate_kernel(
+    def _accumulate(
         self,
         graph: CorrelationGraph,
         instance: TrendInstance,
@@ -247,34 +242,3 @@ class TrendPropagationInference:
             valid = gather >= 0
             log_odds[gather[valid]] += votes_csr[valid]
         return int(np.count_nonzero(matrix))
-
-    def _accumulate_scalar(
-        self,
-        graph: CorrelationGraph,
-        instance: TrendInstance,
-        index: dict[int, int],
-        log_odds: np.ndarray,
-    ) -> int:
-        """The scalar reference: one dict walk per seed vote."""
-        votes = 0
-        for seed_road in self._vote_seeds(graph, instance, index):
-            trend = instance.evidence[seed_road]
-            fidelities = self._service.fidelity_map(
-                graph,
-                seed_road,
-                min_fidelity=self._min_fidelity,
-                max_hops=self._max_hops,
-            )
-            # Telemetry only; counted outside the vote loop so the
-            # hot path carries no per-road bookkeeping.
-            votes += len(fidelities) - 1
-            sign = float(int(trend))
-            for road, q in fidelities.items():
-                if road == seed_road:
-                    continue
-                i = index.get(road)
-                if i is None:
-                    continue
-                q = min(q, 1.0 - 1e-9)
-                log_odds[i] += sign * math.log((1.0 + q) / (1.0 - q))
-        return votes

@@ -71,19 +71,16 @@ class TestParser:
         assert args.metrics_out is None
 
     def test_sharded_plan_options(self):
-        args = build_parser().parse_args(
-            [
-                "estimate", "--sharded-plan",
-                "--plan-shards", "4", "--plan-workers", "1",
-            ]
-        )
-        assert args.sharded_plan is True
-        assert args.plan_shards == 4
-        assert args.plan_workers == 1
-        serve = build_parser().parse_args(["serve", "--sharded-plan"])
-        assert serve.sharded_plan is True
-        assert serve.plan_shards == 0
-        assert serve.plan_workers == 0
+        """One --workers knob drives selection and plan-compile pools."""
+        args = build_parser().parse_args(["estimate", "--workers", "2"])
+        assert args.workers == 2
+        for command in ("select", "estimate", "serve"):
+            assert build_parser().parse_args([command]).workers == 1
+        for retired in ("--sharded-plan", "--plan-shards", "--plan-workers"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["estimate", retired])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["select", "--parallel"])
 
     def test_obs_top_source(self):
         args = build_parser().parse_args(["obs", "top", "metrics.json"])
@@ -132,21 +129,19 @@ class TestCommands:
         assert "ETA error" in out
 
     def test_estimate_sharded_plan(self, capsys):
+        """District plans compiled by a 2-worker pool serve the round."""
         assert main(
             [
                 "--city", "tianjin", "estimate", "--budget", "8",
-                "--show", "4", "--sharded-plan",
-                "--plan-shards", "4", "--plan-workers", "1",
+                "--show", "4", "--workers", "2",
             ]
         ) == 0
         out = capsys.readouterr().out
         assert "MAE" in out
 
-    def test_plan_shards_requires_sharded_plan(self):
-        with pytest.raises(SystemExit, match="sharded-plan"):
-            main(
-                ["--city", "tianjin", "estimate", "--plan-shards", "4"]
-            )
+    def test_negative_workers_rejected(self):
+        with pytest.raises(SystemExit, match="workers"):
+            main(["--city", "tianjin", "estimate", "--workers", "-1"])
 
     def test_bad_budget(self):
         with pytest.raises(SystemExit, match="budget"):

@@ -8,6 +8,7 @@ from repro.core.types import Trend
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HlmParams
 from repro.trend.bp import LoopyBeliefPropagation
+from tests.oracles import ScalarTwoStepEstimator
 
 
 @pytest.fixture(scope="module")
@@ -249,16 +250,13 @@ class TestEstimateRoads:
 
 class TestServingPathFlag:
     def test_scalar_reference_selectable(self, small_dataset, round_data):
-        """use_plan=False serves through the per-road reference path."""
+        """The per-road oracle serves the same numbers as the plan path."""
         interval, _, seed_speeds = round_data
         vec = TwoStepEstimator(
             small_dataset.network, small_dataset.store, small_dataset.graph
         )
-        sca = TwoStepEstimator(
-            small_dataset.network,
-            small_dataset.store,
-            small_dataset.graph,
-            use_plan=False,
+        sca = ScalarTwoStepEstimator(
+            small_dataset.network, small_dataset.store, small_dataset.graph
         )
         ev = vec.estimate_interval(interval, seed_speeds)
         es = sca.estimate_interval(interval, seed_speeds)

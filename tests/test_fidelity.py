@@ -1,7 +1,7 @@
 """Tests for the shared CSR fidelity kernel and cross-stage cache.
 
 The kernel's contract is differential: bitwise-identical fidelity rows
-to the scalar dict/heap reference on any graph, floor and hop budget.
+to the scalar dict/heap oracle (tests/oracles.py) on any graph, floor and hop budget.
 The service's contract is shared caching without poisoning: every
 consumer sees the same read-only rows, and mutating a returned result
 is an error rather than a cache corruption.
@@ -23,12 +23,16 @@ from repro.history.fidelity import (
     best_fidelity_row,
     best_fidelity_rows,
     get_fidelity_service,
-    propagate_fidelity_scalar,
     set_fidelity_service,
 )
 from repro.seeds.objective import SeedSelectionObjective
 from repro.trend.model import TrendModel
 from repro.trend.propagation import TrendPropagationInference
+from tests.oracles import (
+    ScalarFidelityService,
+    ScalarPropagationInference,
+    propagate_fidelity_scalar,
+)
 
 
 def line_graph(agreements):
@@ -148,7 +152,7 @@ class TestKernel:
     data=st.data(),
 )
 def test_kernel_bitwise_equals_scalar(graph, min_fidelity, max_hops, data):
-    """The vectorized kernel and the scalar reference agree exactly."""
+    """The vectorized kernel and the scalar oracle agree exactly."""
     source = data.draw(st.sampled_from(graph.road_ids))
     csr = CSRFidelityGraph.from_graph(graph)
     row = best_fidelity_row(csr, csr.index[source], min_fidelity, max_hops)
@@ -230,8 +234,8 @@ class TestService:
 
     def test_scalar_service_matches_kernel_service(self):
         graph = line_graph([0.8, 0.9, 0.7])
-        kernel = FidelityCacheService(use_kernel=True)
-        scalar = FidelityCacheService(use_kernel=False)
+        kernel = FidelityCacheService()
+        scalar = ScalarFidelityService()
         for road in graph.road_ids:
             assert np.array_equal(
                 kernel.row(graph, road, min_fidelity=0.01),
@@ -357,12 +361,9 @@ class TestKernelInferenceEquivalence:
             }
             instance = model.instance(interval, seed_trends)
             kernel = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(), use_kernel=True
+                fidelity_service=FidelityCacheService()
             ).infer(instance)
-            scalar = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(use_kernel=False),
-                use_kernel=False,
-            ).infer(instance)
+            scalar = ScalarPropagationInference().infer(instance)
             np.testing.assert_allclose(
                 kernel.as_array(), scalar.as_array(), atol=1e-9, rtol=0
             )

@@ -12,6 +12,7 @@ from repro.speed.hlm import (
     SeedRegression,
 )
 from repro.trend.model import TrendPosterior
+from tests.oracles import clamp_speed, estimate_road
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,14 @@ def hlm(small_dataset):
 
 def flat_posterior(road_ids, p=0.5):
     return TrendPosterior(tuple(road_ids), np.full(len(road_ids), float(p)))
+
+
+def _estimate(dataset, hlm, road, interval, posterior, deviations, influence):
+    """The per-road Step-2 oracle on ``dataset``."""
+    return estimate_road(
+        hlm, dataset.store, dataset.network, road, interval, posterior,
+        deviations, influence,
+    )
 
 
 class TestHlmParams:
@@ -155,7 +164,7 @@ class TestEstimateRoad:
         road = store.road_ids[0]
         interval = small_dataset.test_day_intervals()[30]
         posterior = flat_posterior(store.road_ids, p=0.9)
-        speed = hlm.estimate_road(road, interval, posterior, {}, {}, {})
+        speed = _estimate(small_dataset, hlm, road, interval, posterior, {}, {})
         bucket = small_dataset.grid.bucket_of(interval)
         expected = hlm.hierarchy.conditional_mean(
             road, bucket, Trend.RISE
@@ -169,16 +178,14 @@ class TestEstimateRoad:
         interval = small_dataset.test_day_intervals()[30]
         posterior = flat_posterior(store.road_ids)
         influence = {s: 0.8 for s in neighbours}
-        slow = hlm.estimate_road(
-            road, interval, posterior,
+        slow = _estimate(
+            small_dataset, hlm, road, interval, posterior,
             {s: 0.6 for s in neighbours},
-            {s: Trend.FALL for s in neighbours},
             influence,
         )
-        fast = hlm.estimate_road(
-            road, interval, posterior,
+        fast = _estimate(
+            small_dataset, hlm, road, interval, posterior,
             {s: 1.4 for s in neighbours},
-            {s: Trend.RISE for s in neighbours},
             influence,
         )
         assert slow < fast
@@ -190,10 +197,9 @@ class TestEstimateRoad:
         interval = small_dataset.test_day_intervals()[10]
         posterior = flat_posterior(store.road_ids)
         influence = {s: 0.9 for s in neighbours}
-        crazy_fast = hlm.estimate_road(
-            road, interval, posterior,
+        crazy_fast = _estimate(
+            small_dataset, hlm, road, interval, posterior,
             {s: 10.0 for s in neighbours},
-            {s: Trend.RISE for s in neighbours},
             influence,
         )
         upper = (
@@ -201,10 +207,9 @@ class TestEstimateRoad:
             * hlm.params.max_over_free_flow
         )
         assert crazy_fast <= upper
-        crazy_slow = hlm.estimate_road(
-            road, interval, posterior,
+        crazy_slow = _estimate(
+            small_dataset, hlm, road, interval, posterior,
             {s: 0.0001 for s in neighbours},
-            {s: Trend.FALL for s in neighbours},
             influence,
         )
         assert crazy_slow >= hlm.params.min_speed_kmh
@@ -215,9 +220,7 @@ class TestEstimateRoad:
         neighbour = small_dataset.graph.neighbour_ids(road)[0]
         posterior = flat_posterior(store.road_ids)
         with pytest.raises(InferenceError):
-            hlm.estimate_road(
-                road, 0, posterior, {}, {}, {neighbour: 0.8}
-            )
+            _estimate(small_dataset, hlm, road, 0, posterior, {}, {neighbour: 0.8})
 
     def test_no_trend_ablation_ignores_posterior(self, small_dataset):
         params = HlmParams(use_trend=False)
@@ -229,8 +232,8 @@ class TestEstimateRoad:
         interval = small_dataset.test_day_intervals()[30]
         confident_rise = flat_posterior(store.road_ids, 0.99)
         confident_fall = flat_posterior(store.road_ids, 0.01)
-        a = hlm.estimate_road(road, interval, confident_rise, {}, {}, {})
-        b = hlm.estimate_road(road, interval, confident_fall, {}, {}, {})
+        a = _estimate(small_dataset, hlm, road, interval, confident_rise, {}, {})
+        b = _estimate(small_dataset, hlm, road, interval, confident_fall, {}, {})
         assert a == b  # trend machinery fully disabled
 
     def test_flat_ablation_uses_global_mean(self, small_dataset):
@@ -242,11 +245,11 @@ class TestEstimateRoad:
         interval = small_dataset.test_day_intervals()[30]
         posterior = flat_posterior(store.road_ids, 0.99)
         for road in store.road_ids[:5]:
-            speed = hlm.estimate_road(road, interval, posterior, {}, {}, {})
+            speed = _estimate(small_dataset, hlm, road, interval, posterior, {}, {})
             expected = hlm.hierarchy.global_mean(
                 Trend.RISE
             ) * store.historical_speed(road, interval)
             # Prior confidence scaling applies equally; ratio must match.
             assert speed == pytest.approx(
-                hlm._clamp(road, expected), rel=1e-9
+                clamp_speed(hlm, small_dataset.network, road, expected), rel=1e-9
             )

@@ -1,8 +1,8 @@
 """Compiled interval plans: differential equivalence and cache behaviour.
 
 The vectorized Step-2 serving path (``repro.speed.plan``) must agree
-with the per-road scalar reference (`use_plan=False`) to within 1e-9 on
-every query shape — full intervals, partial ``estimate_roads`` queries,
+with the per-road scalar oracle (``tests.oracles.ScalarTwoStepEstimator``)
+to within 1e-9 on every query shape — full intervals, partial ``estimate_roads`` queries,
 rounds with substituted seed observations, and the ``use_trend=False``
 ablation — and its incremental cross-interval updates must be
 bit-for-bit identical to evaluating a freshly compiled plan.
@@ -20,6 +20,7 @@ from repro.history.fidelity import FidelityCacheService
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
 from repro.speed.plan import IntervalPlanCache
+from tests.oracles import ScalarTwoStepEstimator, scalar_system
 
 SPEED_TOL = 1e-9
 
@@ -38,13 +39,12 @@ def pair(small_dataset):
         hlm=hlm,
         hlm_params=params,
     )
-    sca = TwoStepEstimator(
+    sca = ScalarTwoStepEstimator(
         small_dataset.network,
         small_dataset.store,
         small_dataset.graph,
         hlm=hlm,
         hlm_params=params,
-        use_plan=False,
     )
     return small_dataset, vec, sca
 
@@ -63,13 +63,12 @@ def pair_no_trend(small_dataset):
         hlm=hlm,
         hlm_params=params,
     )
-    sca = TwoStepEstimator(
+    sca = ScalarTwoStepEstimator(
         small_dataset.network,
         small_dataset.store,
         small_dataset.graph,
         hlm=hlm,
         hlm_params=params,
-        use_plan=False,
     )
     return small_dataset, vec, sca
 
@@ -320,20 +319,18 @@ class TestDegradedPathDifferential:
 
     Fault-forced seed substitution flows through ``run_round``'s
     degradation machinery; the ``degraded`` flags, substitution map and
-    widened uncertainty bands must be identical whether Step-2 serving
-    used the compiled interval plan or the per-road scalar reference.
+    widened uncertainty bands must be identical whether the round was
+    estimated by the production pipeline or the scalar oracles.
     """
 
-    def _system(self, dataset, use_plan):
-        from repro.core.config import PipelineConfig
+    def _system(self, dataset, production):
         from repro.core.pipeline import SpeedEstimationSystem
 
-        system = SpeedEstimationSystem.from_parts(
-            dataset.network,
-            dataset.store,
-            dataset.graph,
-            PipelineConfig(use_interval_plan=use_plan),
-        )
+        parts = (dataset.network, dataset.store, dataset.graph)
+        if production:
+            system = SpeedEstimationSystem.from_parts(*parts)
+        else:
+            system = scalar_system(*parts)
         system.select_seeds(8)
         return system
 
@@ -351,8 +348,8 @@ class TestDegradedPathDifferential:
     def test_degraded_flags_and_bands_match_scalar(self, small_dataset):
         from repro.speed.uncertainty import UncertaintyModel
 
-        fast = self._system(small_dataset, use_plan=True)
-        slow = self._system(small_dataset, use_plan=False)
+        fast = self._system(small_dataset, production=True)
+        slow = self._system(small_dataset, production=False)
         assert fast.seeds == slow.seeds
         platform_fast = self._platform()
         platform_slow = self._platform()
@@ -419,14 +416,15 @@ class TestPosteriorArrays:
 
 
 class TestGraphDeltaEviction:
-    """Regression: delta-driven row invalidation must evict stale plans.
+    """Regression: delta-driven row invalidation must reach stale plans.
 
     ``IntervalPlanCache.attach`` historically registered only the
     whole-graph listener, so ``invalidate_rows`` dropped fidelity rows
     while compiled plans kept serving coefficients derived from the
-    pre-delta graph. The cache now evicts exactly the plans whose seed
-    rows dropped, and a warm estimator afterwards matches a cold one
-    built from the mutated graph bit for bit.
+    pre-delta graph. The cache now marks stale exactly the district
+    shards of plans whose seed rows dropped, and a warm estimator
+    afterwards matches a cold one built from the mutated graph bit for
+    bit.
     """
 
     def _build(self, dataset):
@@ -483,9 +481,22 @@ class TestGraphDeltaEviction:
         assert seeds[0] in dropped
 
         stats = cache.stats()
-        assert stats.row_evictions == 1  # the stale plan is gone...
+        assert stats.shard_evictions == 1  # the stale shard is marked...
         assert stats.flushes == 0  # ...without a wholesale flush
-        assert stats.size == 0
+        assert stats.size == 1  # and the plan stays cached
+
+        # The same seed set re-serves through the refreshed shard,
+        # bit-identical to a cold compile from the mutated graph.
+        refreshed = est.estimate_interval(interval, speeds)
+        cold_same = TwoStepEstimator(
+            small_dataset.network,
+            small_dataset.store,
+            graph,
+            hlm=hlm,
+            hlm_params=params,
+            fidelity_service=FidelityCacheService(),
+        ).estimate_interval(interval, speeds)
+        assert refreshed == cold_same
 
         # Re-selection through the warm CELF selector matches a cold run
         # against the mutated graph.
@@ -543,13 +554,13 @@ class TestGraphDeltaEviction:
         ]
         stats = cache.stats()
         assert stats.flushes == 0
-        assert stats.size == len(survivors)
-        assert stats.row_evictions == 2 - len(survivors)
+        assert stats.size == 2  # plans stay cached; stale shards recompile
+        assert stats.shard_evictions == 2 - len(survivors)
 
 
 class TestEvictionIndexPinning:
-    """The seed->keys inverted index must evict *exactly* the set a
-    linear scan over every cached structure would."""
+    """Row eviction must reach *exactly* the seed sets a linear scan over
+    every live shard set would, and nothing else."""
 
     def _planner(self, pair):
         from repro.speed.plan import IntervalPlanner
@@ -565,7 +576,7 @@ class TestEvictionIndexPinning:
     def _compile(self, planner, roads, seeds):
         seeds = tuple(seeds)
         influence = {roads[0]: {seeds[0]: 0.9}}
-        return planner.compile(seeds, 0, influence)
+        return planner.compile(seeds, 0, lambda: influence)
 
     def test_indexed_eviction_matches_linear_scan(self, pair):
         dataset, planner = self._planner(pair)
@@ -586,24 +597,23 @@ class TestEvictionIndexPinning:
         ]
         for drop in drops:
             plans = [self._compile(planner, roads, s) for s in seed_sets]
-            live = set(planner._structures.keys())
-            assert live == set(seed_sets)
+            live = dict(planner._shard_sets.items())
+            assert set(live) == set(seed_sets)
             expected = {k for k in live if set(k) & drop}  # reference scan
             planner.evict_structures(drop)
-            assert set(planner._structures.keys()) == live - expected
-            del plans
+            assert {k for k, v in live.items() if v.needs_refresh} == expected
+            del plans, live
 
     def test_evict_all_clears_index(self, pair):
         dataset, planner = self._planner(pair)
         roads = list(dataset.graph.road_ids)
         plan = self._compile(planner, roads, roads[:3])
-        assert planner._keys_by_seed
+        assert tuple(roads[:3]) in planner._shard_sets
         planner.evict_structures(None)
-        assert not planner._keys_by_seed
-        assert not list(planner._structures.keys())
+        assert not list(planner._shard_sets.keys())
         # Recompiling after a full evict re-registers cleanly.
         plan = self._compile(planner, roads, roads[:3])
-        assert tuple(roads[:3]) in planner._structures
+        assert tuple(roads[:3]) in planner._shard_sets
         del plan
 
     def test_garbage_collected_structures_are_pruned(self, pair):
@@ -614,11 +624,7 @@ class TestEvictionIndexPinning:
         plan = self._compile(planner, roads, roads[:3])
         del plan
         gc.collect()
-        assert tuple(roads[:3]) not in planner._structures
-        # Index may still hold the dead key; eviction filters it
-        # without error and prunes it.
+        assert tuple(roads[:3]) not in planner._shard_sets
+        # Evicting a road of the collected seed set is a no-op.
         planner.evict_structures({roads[0]})
-        assert all(
-            tuple(roads[:3]) not in keys
-            for keys in planner._keys_by_seed.values()
-        )
+        assert not list(planner._shard_sets.keys())

@@ -1,13 +1,15 @@
 """District-sharded interval plans: bitwise differentials and scoped eviction.
 
-The sharded Step-2 serving path (``repro.speed.shardplan``) must be
-**bitwise identical** to the monolithic plan — not merely close: every
-per-road quantity in the evaluation is row-independent, so compiling
-district slices and stitching them back must reproduce the monolithic
-arrays bit for bit, across any partition shape, with or without the
-compile process pool. Delta eviction must be district-scoped: a row
-invalidation recompiles only the districts a dropped seed's influence
-touches, and untouched districts' structures survive by object identity.
+The Step-2 planner (``repro.speed.plan``) compiles one shard per
+district. Any district cover must be **bitwise identical** to the
+one-district plan — not merely close: every per-road quantity in the
+evaluation is row-independent, so compiling district slices and
+stitching them back must reproduce the one-district arrays bit for bit,
+across any partition shape, with or without the compile process pool —
+and every cover must stay within 1e-9 of the per-road scalar oracle.
+Delta eviction must be district-scoped: a row invalidation recompiles
+only the districts a dropped seed's influence touches, and untouched
+districts' structures survive by object identity.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from repro.history.incremental import GraphDelta
 from repro.obs import FlightRecorder, set_recorder
 from repro.speed.estimator import TwoStepEstimator
 from repro.speed.hlm import HierarchicalLinearModel, HlmParams
-from repro.speed.plan import IntervalPlanCache
-from repro.speed.shardplan import PlanCompilePool, ShardedIntervalPlanner
+from repro.speed.plan import IntervalPlanCache, IntervalPlanner, PlanCompilePool
+from tests.oracles import ScalarTwoStepEstimator
 
 
 def _counter(rec, name, **labels):
@@ -42,22 +44,17 @@ def fitted(small_dataset):
     return small_dataset, hlm, params
 
 
-def _estimator(dataset, hlm, params, partitions=None, pool=None, graph=None):
-    """A fresh estimator; sharded when ``partitions`` is given."""
-    factory = None
-    if partitions is not None:
-        def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
-                store, network, hlm_, road_ids, partitions, pool=pool
-            )
+def _estimator(dataset, hlm, params, partitions=None, workers=1):
+    """A fresh estimator; one district unless ``partitions`` is given."""
     return TwoStepEstimator(
         dataset.network,
         dataset.store,
-        graph if graph is not None else dataset.graph,
+        dataset.graph,
         hlm=hlm,
         hlm_params=params,
         fidelity_service=FidelityCacheService(),
-        planner_factory=factory,
+        districts=partitions,
+        plan_workers=workers,
     )
 
 
@@ -81,28 +78,37 @@ def _assert_bitwise(a, b):
     assert set(a) == set(b)
     for road in a:
         assert a[road] == b[road], (
-            f"road {road}: sharded {b[road]} != monolithic {a[road]}"
+            f"road {road}: sharded {b[road]} != one-district {a[road]}"
         )
 
 
 class TestShardedBitwise:
     @pytest.mark.parametrize("num_districts", [1, 2, 7, 10_000])
     def test_matches_monolithic(self, fitted, num_districts):
+        """Bitwise equal to the one-district plan, 1e-9 from the oracle."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         mono = _estimator(dataset, hlm, params)
         shard = _estimator(
             dataset, hlm, params, partitions=_chunks(roads, num_districts)
         )
+        assert shard.planner.num_districts == min(num_districts, len(roads))
+        oracle = ScalarTwoStepEstimator(
+            dataset.network, dataset.store, dataset.graph,
+            hlm=hlm, hlm_params=params,
+        )
         seeds = roads[::17][:7]
         intervals = dataset.test_day_intervals()[:3]
         for factor in (1.0, 0.82):
             for interval in intervals:
                 speeds = _speeds(dataset, seeds, interval, factor)
-                _assert_bitwise(
-                    mono.estimate_interval(interval, speeds),
-                    shard.estimate_interval(interval, speeds),
-                )
+                sharded = shard.estimate_interval(interval, speeds)
+                _assert_bitwise(mono.estimate_interval(interval, speeds), sharded)
+                reference = oracle.estimate_interval(interval, speeds)
+                for road, estimate in reference.items():
+                    assert sharded[road].speed_kmh == pytest.approx(
+                        estimate.speed_kmh, abs=1e-9
+                    )
 
     def test_seeds_concentrated_in_one_district(self, fitted):
         dataset, hlm, params = fitted
@@ -165,31 +171,30 @@ class TestShardedBitwise:
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         with pytest.raises(InferenceError):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads, []
             )
         with pytest.raises(InferenceError, match="more than one district"):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads,
                 [tuple(roads), (roads[0],)],
             )
         with pytest.raises(InferenceError, match="cover"):
-            ShardedIntervalPlanner(
+            IntervalPlanner(
                 dataset.store, dataset.network, hlm, roads, [tuple(roads[:10])]
             )
 
 
 class TestPoolDifferential:
     def test_two_workers_four_districts_bitwise(self, fitted):
-        """The CI differential: worker-compiled shards == monolithic."""
+        """The CI differential: worker-compiled shards == one district."""
         dataset, hlm, params = fitted
         roads = list(dataset.graph.road_ids)
         mono = _estimator(dataset, hlm, params)
-        with PlanCompilePool(hlm, dataset.store, num_workers=2) as pool:
-            shard = _estimator(
-                dataset, hlm, params,
-                partitions=_chunks(roads, 4), pool=pool,
-            )
+        shard = _estimator(
+            dataset, hlm, params, partitions=_chunks(roads, 4), workers=2
+        )
+        try:
             seeds = roads[::13][:8]
             for interval in dataset.test_day_intervals()[:2]:
                 speeds = _speeds(dataset, seeds, interval)
@@ -197,6 +202,8 @@ class TestPoolDifferential:
                     mono.estimate_interval(interval, speeds),
                     shard.estimate_interval(interval, speeds),
                 )
+        finally:
+            shard.close()
 
     def test_closed_pool_raises(self, fitted):
         dataset, hlm, params = fitted
@@ -234,12 +241,6 @@ class TestDistrictScopedEviction:
         )
         fidelity = FidelityCacheService()
         cache = IntervalPlanCache(maxsize=8).attach(fidelity)
-
-        def factory(store, network, hlm_, road_ids):
-            return ShardedIntervalPlanner(
-                store, network, hlm_, road_ids, [first, second]
-            )
-
         est = TwoStepEstimator(
             dataset.network,
             dataset.store,
@@ -248,7 +249,7 @@ class TestDistrictScopedEviction:
             hlm_params=params,
             fidelity_service=fidelity,
             plan_cache=cache,
-            planner_factory=factory,
+            districts=[first, second],
         )
         return graph, hlm, params, fidelity, cache, est, first, second
 
@@ -301,7 +302,7 @@ class TestDistrictScopedEviction:
             assert _counter(rec, "plan.shard_compiles", district="0") == 1
             assert _counter(rec, "plan.shard_compiles", district="1") == 2
 
-            # And the recompiled result matches a cold monolithic
+            # And the recompiled result matches a cold one-district
             # estimator over the mutated graph, bit for bit.
             mono = TwoStepEstimator(
                 small_dataset.network,

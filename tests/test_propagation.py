@@ -15,6 +15,7 @@ from repro.trend.propagation import (
     edge_fidelity,
     propagate_fidelity,
 )
+from tests.oracles import ScalarPropagationInference
 
 
 def line_graph(agreements):
@@ -173,10 +174,12 @@ class TestUnknownEvidenceRoads:
 
     @pytest.mark.parametrize("use_kernel", [True, False])
     def test_unknown_evidence_road_is_skipped(self, use_kernel):
+        """Production inference (True) and the scalar oracle (False)."""
         graph = line_graph([0.9, 0.9])
-        inference = TrendPropagationInference(
-            fidelity_service=FidelityCacheService(use_kernel=use_kernel),
-            use_kernel=use_kernel,
+        inference = (
+            TrendPropagationInference(fidelity_service=FidelityCacheService())
+            if use_kernel
+            else ScalarPropagationInference()
         )
         baseline = inference.infer(self._instance(graph)).as_array()
 
@@ -195,11 +198,11 @@ class TestUnknownEvidenceRoads:
             evidence={0: Trend.RISE, 2: Trend.FALL},
             graph=graph,
         )
-        for use_kernel in (True, False):
-            posterior = TrendPropagationInference(
-                fidelity_service=FidelityCacheService(use_kernel=use_kernel),
-                use_kernel=use_kernel,
-            ).infer(instance)
+        for inference in (
+            TrendPropagationInference(fidelity_service=FidelityCacheService()),
+            ScalarPropagationInference(),
+        ):
+            posterior = inference.infer(instance)
             assert posterior.p_rise(0) == 1.0
             assert posterior.p_rise(2) == 0.0  # clamped despite no vote
             assert posterior.p_rise(1) > 0.5  # road 0's vote arrived

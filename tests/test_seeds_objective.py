@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.errors import SelectionError
 from repro.history.correlation import CorrelationEdge, CorrelationGraph
 from repro.seeds.objective import SeedSelectionObjective
+from tests.oracles import ScalarObjective
 
 
 def triangle_graph():
@@ -197,13 +198,9 @@ class TestCoverageState:
 
         graph = triangle_graph()
         kernel = SeedSelectionObjective(
-            graph, fidelity_service=FidelityCacheService(), use_kernel=True
+            graph, fidelity_service=FidelityCacheService()
         )
-        scalar = SeedSelectionObjective(
-            graph,
-            fidelity_service=FidelityCacheService(use_kernel=False),
-            use_kernel=False,
-        )
+        scalar = ScalarObjective(graph)
         ks, ss = kernel.new_state(), scalar.new_state()
         for seed in (0, 3):
             assert ks.gain(seed) == pytest.approx(ss.gain(seed), abs=1e-12)

@@ -87,28 +87,12 @@ class TestDistrictPoolLifecycle:
             pool.select(2)
         pool.close()  # idempotent
 
-    def test_scalar_objective_rejected(self, small_dataset):
-        scalar = SeedSelectionObjective(small_dataset.graph, use_kernel=False)
-        with pytest.raises(SelectionError, match="kernel"):
-            DistrictPool(scalar, num_partitions=2)
-
     def test_vote_accumulator_wrong_graph(self, pool, tiny_dataset):
         with pytest.raises(Exception, match="different correlation graph"):
             pool.vote_accumulator(tiny_dataset.graph, [0], np.array([1.0]))
 
 
 class TestPipelineParallelIntegration:
-    def test_config_requires_kernel(self, small_dataset):
-        with pytest.raises(ConfigError, match="kernel"):
-            SpeedEstimationSystem.from_parts(
-                small_dataset.network,
-                small_dataset.store,
-                small_dataset.graph,
-                PipelineConfig(
-                    use_parallel_partitions=True, use_fidelity_kernel=False
-                ),
-            )
-
     def test_parallel_system_matches_serial_system(self, small_dataset):
         parts = (
             small_dataset.network,
@@ -125,11 +109,16 @@ class TestPipelineParallelIntegration:
             PipelineConfig(
                 selection_method="partition",
                 num_partitions=4,
-                use_parallel_partitions=True,
                 num_partition_workers=2,
             ),
         ) as parallel_system:
             assert parallel_system.select_seeds(8) == serial_seeds
+            # One district cover per system, shared by the pool and the
+            # plan shards.
+            districts = parallel_system.estimator.planner.partitions
+            assert parallel_system.district_pool().partitions == [
+                list(chunk) for chunk in districts
+            ]
             # Step-1 runs through the district vote accumulator and must
             # match the serial estimate to float re-association.
             interval = small_dataset.test_day_intervals()[32]
@@ -146,8 +135,38 @@ class TestPipelineParallelIntegration:
         system = SpeedEstimationSystem.from_parts(
             small_dataset.network, small_dataset.store, small_dataset.graph
         )
-        with pytest.raises(ConfigError, match="use_parallel_partitions"):
+        with pytest.raises(ConfigError, match="num_partition_workers"):
             system.district_pool()
+
+    def test_districts_computed_once_and_shared(self, small_dataset, monkeypatch):
+        import repro.core.pipeline as pipeline
+        from repro.seeds import partition
+
+        original = partition.partition_graph
+        calls = []
+
+        def counting(objective, num_partitions):
+            calls.append(num_partitions)
+            return original(objective, num_partitions)
+
+        # Selection may not re-partition: only the system's one call runs.
+        monkeypatch.setattr(pipeline, "partition_graph", counting)
+        monkeypatch.setattr(partition, "partition_graph", None)
+        system = SpeedEstimationSystem.from_parts(
+            small_dataset.network,
+            small_dataset.store,
+            small_dataset.graph,
+            PipelineConfig(selection_method="partition", num_partitions=4),
+        )
+        seeds = system.select_seeds(6)
+        interval = small_dataset.test_day_intervals()[10]
+        system.estimate(
+            interval, {r: small_dataset.test.speed(r, interval) for r in seeds}
+        )
+        assert calls == [4]
+        assert system.estimator.planner.partitions == [
+            tuple(chunk) for chunk in original(system.objective, 4)
+        ]
 
     def test_close_is_idempotent_without_pool(self, small_dataset):
         system = SpeedEstimationSystem.from_parts(

@@ -76,6 +76,13 @@ def _counter(rec, name, **labels):
     return rec.registry.counter(name, **labels).value
 
 
+def _shard_compiles(rec):
+    """District shard compiles so far: cold plan compiles and refreshes."""
+    return sum(
+        series.value for _, series in rec.registry.series("plan.shard_compiles")
+    )
+
+
 class TestStreamingSoak:
     def test_31_day_soak_no_wholesale_flushes(
         self, small_network, base_week, tmp_path
@@ -109,16 +116,16 @@ class TestStreamingSoak:
         assert report["compiles_on_quiet_days"] == 0
         assert report["compiles_on_incident_days"] > 0
         assert report["fidelity_misses_on_quiet_days"] == 0
-        assert _counter(rec, "plan.rows_evicted") == report["row_evictions"]
-        assert report["row_evictions"] > 0
+        assert _counter(rec, "plan.shards_evicted") == report["shard_evictions"]
+        assert report["shard_evictions"] > 0
 
         # --- serving stayed healthy ----------------------------------
         assert report["rounds"] == STREAM_DAYS * len(SERVE_OFFSETS)
         assert report["published"] == report["rounds"]
 
-        # --- flight-recorder timeline: compile spans match the cache
-        #     misses, i.e. no hidden compile work outside the counted
-        #     incident-day recompiles.
+        # --- flight-recorder timeline: plan compile spans match the
+        #     cache misses and district spans the counted shard
+        #     compiles, i.e. no hidden compile work outside them.
         events = [
             json.loads(line) for line in trace_path.read_text().splitlines()
         ]
@@ -127,7 +134,11 @@ class TestStreamingSoak:
             for e in events
             if e["type"] == "span" and e["name"] == "speed.plan.compile"
         ]
-        assert len(compile_spans) == _counter(rec, "plan.cache", hit="false")
+        district_spans = [e for e in compile_spans if "district" in e["attrs"]]
+        assert len(compile_spans) - len(district_spans) == _counter(
+            rec, "plan.cache", hit="false"
+        )
+        assert len(district_spans) == _shard_compiles(rec)
         remine_spans = [
             e
             for e in events
@@ -203,9 +214,9 @@ class TestStreamingSoak:
             else:
                 field = _day_field(base, day_index)
 
-            compiles_before = _counter(rec, "plan.cache", hit="false")
+            compiles_before = _shard_compiles(rec)
             fid_misses_before = _counter(rec, "fidelity.cache", hit="false")
-            evictions_before = _counter(rec, "plan.rows_evicted")
+            evictions_before = _counter(rec, "plan.shards_evicted")
 
             rolling.ingest_day(field)
             # The differential guarantee, checked on every window state.
@@ -218,7 +229,7 @@ class TestStreamingSoak:
             published += serve_day(field, crowd_seed=day_index)
             rounds += len(SERVE_OFFSETS)
 
-            compiled = _counter(rec, "plan.cache", hit="false") - compiles_before
+            compiled = _shard_compiles(rec) - compiles_before
             if day_index in severities:
                 compiles_incident += compiled
             else:
@@ -228,7 +239,7 @@ class TestStreamingSoak:
                     - fid_misses_before
                 )
                 rows_dropped_quiet += (
-                    _counter(rec, "plan.rows_evicted") - evictions_before
+                    _counter(rec, "plan.shards_evicted") - evictions_before
                 )
 
         stats = system.plan_cache.stats()
@@ -238,7 +249,7 @@ class TestStreamingSoak:
             "compiles_on_incident_days": compiles_incident,
             "fidelity_misses_on_quiet_days": fidelity_misses_quiet,
             "rows_dropped_on_quiet_days": rows_dropped_quiet,
-            "row_evictions": stats.row_evictions,
+            "shard_evictions": stats.shard_evictions,
             "flushes": stats.flushes,
             "rounds": rounds,
             "published": published,
